@@ -185,316 +185,6 @@ type ShuffleReq = exchange.Req
 // ShuffleRes answers a ShuffleReq (Algorithm 2 line 37).
 type ShuffleRes = exchange.Res
 
-// storedEstimate is one M_p entry, 16 bytes packed. The origin
-// identity is a world-shared interned reference (intern.Origins), not
-// a 64-bit NodeID: ten thousand stores no longer each duplicate the
-// same few thousand origin identities, and the slot table the merge
-// probe walks packs four entries per cache line instead of two. The
-// age is kept implicitly as the round at which the estimate was fresh
-// (birth = rounds − Age at receive time), so entries never need a
-// per-round aging sweep: an entry's age at round r is simply
-// r − birth, arithmetic identical to incrementing an explicit counter
-// once per round.
-type storedEstimate struct {
-	value  float64
-	origin int32 // interned origin reference; 0 marks an empty slot
-	birth  int32
-}
-
-// estHash spreads an interned origin reference over the slot table
-// (splitmix64 finaliser).
-func estHash(ref int32) uint64 {
-	x := uint64(uint32(ref)) * 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	return x
-}
-
-// estimateStore holds M_p as a single open-addressed slot table with
-// the entries stored inline: the merge path's probe — the hottest
-// lookup in a large deployment, where each node's store is hundreds of
-// cold entries — lands directly on the entry it needs, one memory
-// touch instead of an index hop plus a slab hop. Reference 0 marks an
-// empty slot (the interner never issues it).
-//
-// Ages are implicit (birth rounds) and expiry is cohort-counted: the
-// store keeps one live-entry counter per birth round in a small ring,
-// so a round boundary retires the cohort falling out of the history
-// window in O(1) with no sweep. Entries that age out stay in place as
-// dead slots — every read path treats them as absent, and probe chains
-// still pass through them — until dead slots outnumber live ones, when
-// a rebuild reclaims them.
-type estimateStore struct {
-	maxAge int
-	// origins is the world-shared interner resolving slot references
-	// back to node identities (and interning fresh origins on merge).
-	origins *intern.Origins
-	slots   []storedEstimate // power-of-two open-addressed table
-	used    int              // occupied slots, live and dead
-	live    int
-	// cohorts[b mod len] counts live entries with birth round b; the
-	// ring is maxAge+2 long so active birth rounds never collide.
-	cohorts []int32
-	round   int // the last round boundary processed by expire
-	// picks is scratch for the piggyback subset draw; spare is the
-	// rebuild scratch, swapped with slots so rebuilds stop allocating
-	// once the table reaches steady size; remap is the compaction
-	// scratch (old ref → mark, then old ref → new ref).
-	picks []int32
-	spare []storedEstimate
-	remap []int32
-}
-
-func newEstimateStore(maxAge int, origins *intern.Origins) *estimateStore {
-	return &estimateStore{maxAge: maxAge, origins: origins, cohorts: make([]int32, maxAge+2)}
-}
-
-// cohortPtr returns the ring counter for birth round b, which may be
-// negative (an estimate received with age a at round r has birth r−a).
-func (s *estimateStore) cohortPtr(b int) *int32 {
-	i := b % len(s.cohorts)
-	if i < 0 {
-		i += len(s.cohorts)
-	}
-	return &s.cohorts[i]
-}
-
-// liveAt reports whether the entry is inside the history window.
-func (s *estimateStore) liveAt(e storedEstimate) bool {
-	return s.round-int(e.birth) <= s.maxAge
-}
-
-// len returns the number of live entries.
-func (s *estimateStore) len() int { return s.live }
-
-// probe returns the slot holding ref, or the empty slot where ref
-// would be inserted. found distinguishes the two.
-func (s *estimateStore) probe(ref int32) (pos int, found bool) {
-	mask := uint64(len(s.slots) - 1)
-	for h := estHash(ref); ; h++ {
-		i := int(h & mask)
-		switch s.slots[i].origin {
-		case ref:
-			return i, true
-		case 0:
-			return i, false
-		}
-	}
-}
-
-// materialise converts a stored entry to its wire form at round
-// rounds, resolving the interned origin back to its identity.
-func (s *estimateStore) materialise(e storedEstimate, rounds int) Estimate {
-	return Estimate{Node: s.origins.Lookup(e.origin), Value: e.value, Age: rounds - int(e.birth)}
-}
-
-// ensureSpace rebuilds the table when an insert would push occupancy
-// past 3/4, growing as the live population demands and dropping dead
-// slots (whose cohorts were already retired) along the way.
-func (s *estimateStore) ensureSpace() {
-	if (s.used+1)*4 <= len(s.slots)*3 {
-		return
-	}
-	n := 16
-	for (s.live+1)*4 > n*3 {
-		n *= 2
-	}
-	old := s.slots
-	if cap(s.spare) >= n {
-		s.slots = s.spare[:n]
-		clear(s.slots)
-	} else {
-		s.slots = make([]storedEstimate, n)
-	}
-	s.spare = old[:0]
-	mask := uint64(n - 1)
-	s.used = 0
-	for i := range old {
-		e := old[i]
-		if e.origin == 0 || !s.liveAt(e) {
-			continue
-		}
-		h := estHash(e.origin)
-		for s.slots[h&mask].origin != 0 {
-			h++
-		}
-		s.slots[h&mask] = e
-		s.used++
-	}
-}
-
-// replace overwrites the live-or-dead entry at slot i with e, keeping
-// the cohort counters and live count correct.
-func (s *estimateStore) replace(i int, ref int32, e Estimate, rounds int) {
-	old := s.slots[i]
-	if s.liveAt(old) {
-		*s.cohortPtr(int(old.birth))--
-	} else {
-		// Reviving a dead slot: the origin re-enters the window.
-		s.live++
-	}
-	birth := int32(rounds - e.Age)
-	s.slots[i] = storedEstimate{origin: ref, value: e.Value, birth: birth}
-	*s.cohortPtr(int(birth))++
-}
-
-// insert claims an empty slot for e. The caller has run ensureSpace.
-func (s *estimateStore) insert(ref int32, e Estimate, rounds int) {
-	i, found := s.probe(ref)
-	if found {
-		s.replace(i, ref, e, rounds)
-		return
-	}
-	birth := int32(rounds - e.Age)
-	s.slots[i] = storedEstimate{origin: ref, value: e.Value, birth: birth}
-	s.used++
-	s.live++
-	*s.cohortPtr(int(birth))++
-}
-
-// mergeFresher inserts e, or replaces the held estimate from the same
-// origin when e is fresher — the merge rule of paper equation 9 — with
-// a single table probe. A dead slot for the origin counts as absent.
-func (s *estimateStore) mergeFresher(e Estimate, rounds int) {
-	if e.Node == 0 {
-		return
-	}
-	ref := s.origins.Ref(e.Node)
-	if len(s.slots) != 0 {
-		if i, ok := s.probe(ref); ok {
-			if old := s.slots[i]; !s.liveAt(old) || int32(rounds-e.Age) > old.birth {
-				s.replace(i, ref, e, rounds)
-			}
-			return
-		}
-	}
-	s.ensureSpace()
-	s.insert(ref, e, rounds)
-}
-
-// expire advances the store to the given round boundary, retiring the
-// cohorts that fall out of the history window in O(1) per round, and
-// rebuilds the table once dead slots outnumber live entries (so the
-// rejection-sampled draws keep a high live density).
-func (s *estimateStore) expire(rounds int) {
-	for s.round < rounds {
-		s.round++
-		c := s.cohortPtr(s.round - s.maxAge - 1)
-		s.live -= int(*c)
-		*c = 0
-	}
-	if s.used >= 32 && s.used > 2*s.live {
-		s.used = len(s.slots) // force the rebuild path
-		s.ensureSpace()
-	}
-}
-
-// compactOrigins runs an interner epoch for a store that privately
-// owns its interner: references still held by live entries survive,
-// every other identity ever interned is dropped, and the slot table is
-// rebuilt under the remapped references (the slot hash is a function of
-// the reference value, so positions change wholesale). Dead slots do
-// not pin their identities — they fall out with the rebuild.
-func (s *estimateStore) compactOrigins() {
-	n := s.origins.Len()
-	if cap(s.remap) <= n {
-		s.remap = make([]int32, n+1)
-	} else {
-		s.remap = s.remap[:n+1]
-		clear(s.remap)
-	}
-	for i := range s.slots {
-		if e := s.slots[i]; e.origin != 0 && s.liveAt(e) {
-			s.remap[e.origin] = 1
-		}
-	}
-	s.origins.Compact(
-		func(ref int32) bool { return s.remap[ref] != 0 },
-		func(old, new int32) { s.remap[old] = new },
-	)
-	if len(s.slots) == 0 {
-		return
-	}
-	// Rewrite the surviving slots in place (dead slots map to 0 and
-	// read as empty), then force a rebuild to restore probe invariants.
-	for i := range s.slots {
-		if r := s.slots[i].origin; r != 0 {
-			s.slots[i].origin = s.remap[r]
-		}
-	}
-	s.used = len(s.slots)
-	s.ensureSpace()
-}
-
-// sum returns the total of all live estimate values in slot order.
-func (s *estimateStore) sum() float64 {
-	total := 0.0
-	for i := range s.slots {
-		if s.slots[i].origin != 0 && s.liveAt(s.slots[i]) {
-			total += s.slots[i].value
-		}
-	}
-	return total
-}
-
-// appendRandomSubset appends up to k live entries drawn uniformly at
-// random (all of them when k covers the store) to dst. The draw is
-// rejection sampling over the slot table — empty and dead slots and
-// repeats redraw — which is uniform over the live entries and touches
-// only the slots it inspects. Live density stays above roughly a third
-// (ensureSpace packs to ≤ 3/4, expire rebuilds past 50% dead), so the
-// expected redraws per pick are a small constant; the deterministic
-// fallback scan exists only to bound the pathological case.
-func (s *estimateStore) appendRandomSubset(rng *rand.Rand, k int, dst []Estimate, rounds int) []Estimate {
-	if s.live <= k {
-		for i := range s.slots {
-			if s.slots[i].origin != 0 && s.liveAt(s.slots[i]) {
-				dst = append(dst, s.materialise(s.slots[i], rounds))
-			}
-		}
-		return dst
-	}
-	picks := s.picks[:0]
-	attempts := 0
-draw:
-	for len(picks) < k && attempts < 32*k {
-		attempts++
-		j := int32(rng.Intn(len(s.slots)))
-		if s.slots[j].origin == 0 || !s.liveAt(s.slots[j]) {
-			continue
-		}
-		for _, p := range picks {
-			if p == j {
-				continue draw
-			}
-		}
-		picks = append(picks, j)
-	}
-	// Pathological rejection streak: fill deterministically from the
-	// front of the table.
-	for j := int32(0); len(picks) < k && int(j) < len(s.slots); j++ {
-		if s.slots[j].origin == 0 || !s.liveAt(s.slots[j]) {
-			continue
-		}
-		dup := false
-		for _, p := range picks {
-			if p == j {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			picks = append(picks, j)
-		}
-	}
-	s.picks = picks
-	for _, i := range picks {
-		dst = append(dst, s.materialise(s.slots[i], rounds))
-	}
-	return dst
-}
-
 // Transport sends protocol messages; *simnet.Socket satisfies it inside
 // simulations and internal/deploy provides a real-UDP implementation.
 // Send transfers ownership of pooled messages to the transport (see
@@ -1008,17 +698,11 @@ func (n *Node) appendEstimateSubset(dst []Estimate) []Estimate {
 }
 
 // mergeEstimates folds received estimates into M_p, keeping the most
-// recent per origin (Algorithm 2 lines 36/43).
+// recent per origin (Algorithm 2 lines 36/43). The node's own estimate
+// is skipped (it lives in localEst), and so is any estimate older than
+// γ.
 func (n *Node) mergeEstimates(es []Estimate) {
-	for _, e := range es {
-		if e.Node == n.self {
-			continue // own estimate lives in localEst
-		}
-		if e.Age > n.cfg.NeighbourHistory {
-			continue
-		}
-		n.estimates.mergeFresher(e, n.eng.Rounds())
-	}
+	n.estimates.merge(es, n.self, n.eng.Rounds())
 }
 
 // Estimate implements Algorithm 3's estimatePublicPrivateRatio:
@@ -1026,8 +710,9 @@ func (n *Node) mergeEstimates(es []Estimate) {
 // (equation 8); private nodes average the cache alone (equation 9). It
 // reports false while the node has no estimation data at all.
 func (n *Node) Estimate() (float64, bool) {
-	// The store keeps insertion order, so the (non-associative) float
-	// summation is reproducible across identical runs.
+	// The store's array order is a deterministic function of the
+	// merges and round boundaries applied, so the (non-associative)
+	// float summation is reproducible across identical runs.
 	sum := n.estimates.sum()
 	cnt := n.estimates.len()
 	if n.nat == addr.Public && n.hasLocal {
@@ -1063,12 +748,7 @@ func (n *Node) Sample() (view.Descriptor, bool) {
 // CachedEstimates returns a copy of M_p for tests and diagnostics,
 // sorted by origin.
 func (n *Node) CachedEstimates() []Estimate {
-	out := make([]Estimate, 0, n.estimates.len())
-	for i := range n.estimates.slots {
-		if e := n.estimates.slots[i]; e.origin != 0 && n.estimates.liveAt(e) {
-			out = append(out, n.estimates.materialise(e, n.eng.Rounds()))
-		}
-	}
+	out := n.estimates.appendLive(make([]Estimate, 0, n.estimates.len()), n.eng.Rounds())
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
 }

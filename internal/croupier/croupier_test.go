@@ -410,56 +410,6 @@ func TestShuffleMessageSizesMatchPaperAccounting(t *testing.T) {
 	}
 }
 
-// Property: the estimate store never holds duplicates, never exceeds the
-// origins inserted, and ages monotonically.
-func TestEstimateStoreInvariants(t *testing.T) {
-	f := func(ops []uint8) bool {
-		s := newEstimateStore(20, intern.NewOrigins())
-		rounds := 0
-		for _, op := range ops {
-			id := addr.NodeID(op % 16)
-			switch {
-			case op%3 == 0:
-				// A round boundary: ages advance implicitly, old
-				// entries expire.
-				rounds++
-				s.expire(rounds)
-			default:
-				s.mergeFresher(Estimate{Node: id, Value: float64(op) / 255, Age: int(op % 8)}, rounds)
-			}
-			used, live := 0, 0
-			seen := make(map[int32]bool)
-			for i, e := range s.slots {
-				if e.origin == 0 {
-					continue
-				}
-				used++
-				if seen[e.origin] {
-					return false
-				}
-				seen[e.origin] = true
-				if at, ok := s.probe(e.origin); !ok || at != i {
-					return false
-				}
-				if !s.liveAt(e) {
-					continue // dead slot awaiting rebuild: unobservable
-				}
-				live++
-				if age := s.materialise(e, rounds).Age; age > 20 {
-					return false // expired entry observable
-				}
-			}
-			if used != s.used || live != s.len() {
-				return false // counters drifted from the table
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: calcHitsRatio is always within [0, 1].
 func TestCalcHitsRatioBounds(t *testing.T) {
 	r := newRig(t)

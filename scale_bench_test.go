@@ -1,10 +1,10 @@
 // Scale benchmarks: the cost of one gossip round at deployment sizes
 // far beyond the paper's few-hundred-node evaluation (1k / 5k / 20k
 // nodes, all four protocols), plus shard-count variants of the 20k/50k
-// croupier round and the join wave on the parallel kernel. The
-// sequential numbers are the perf-trajectory record in BENCH_5.json;
-// the sharded-vs-sequential pairs are recorded in BENCH_8.json, both
-// regenerated by scripts/bench.sh.
+// croupier round and the join wave on the parallel kernel. They give
+// raw `go test -bench` numbers; the repository benchmark that records
+// end-to-end and per-layer metrics is `bash perfbench/run.sh` (see
+// perfbench/README.md).
 //
 // The suite is expensive to set up (a 20k-node world joins 20k hosts
 // and warms up ten rounds), so it is benchmark-only: nothing here runs
@@ -59,9 +59,9 @@ func BenchmarkScaleRound(b *testing.B) {
 // BenchmarkScaleRoundSharded measures the big croupier rounds at 1, 2
 // and 4 kernel shards: the same world, same seed, same
 // (byte-identical) figures, executed on the sharded kernel. shards=1
-// is the sequential reference BENCH_8.json embeds as its baseline; on
-// a multi-core host the shards=2/4 rows are the parallel speedup, on a
-// single-core host they price the window-barrier coordination.
+// is the sequential reference; on a multi-core host the shards=2/4
+// rows are the parallel speedup, on a single-core host they price the
+// window-barrier coordination.
 func BenchmarkScaleRoundSharded(b *testing.B) {
 	for _, n := range []int{20000, 50000} {
 		for _, shards := range []int{1, 2, 4} {
